@@ -2,7 +2,7 @@
 //!
 //! Two questions, both wall-clock:
 //!
-//! * **Early results** — the streaming symmetric join emits pairs as items
+//! * **Early results** — the streaming join emits pairs as items
 //!   arrive, so its *time-to-first-K-pairs* should sit far below the
 //!   offline SSSJ's *total* wall-clock on the same snapshot (which must
 //!   first materialise the snapshot into one sorted run, then sweep it to

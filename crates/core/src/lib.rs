@@ -201,8 +201,5 @@ impl JoinOperator for Box<dyn JoinOperator + Send + Sync> {
 
 #[cfg(test)]
 mod algorithm_tests;
-// Property-based tests need the external `proptest` crate, which the
-// offline build environment cannot provide; they are opt-in behind the
-// `proptest` feature (see KNOWN_FAILURES.md).
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod proptests;

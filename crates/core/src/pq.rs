@@ -26,15 +26,16 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::ControlFlow;
 
 use usj_geom::{Item, Rect};
 use usj_io::{CpuOp, MemoryReservation, Result, SimEnv};
 use usj_rtree::{NodeKind, RTree};
-use usj_sweep::{Side, SpillingSweepDriver};
+use usj_sweep::merge_sweep;
 
 use crate::input::JoinInput;
 use crate::predicate::Predicate;
-use crate::result::{JoinResult, MemoryStats};
+use crate::result::JoinResult;
 use crate::sink::PairSink;
 use crate::JoinOperator;
 
@@ -419,82 +420,31 @@ impl JoinOperator for PqJoin {
 
         // Left items are ε-expanded as they leave their source — a uniform
         // shift of the sort keys, so the merge order stays correct. The
-        // memory-governed spilling driver evicts cold sweep state to the
-        // simulated device if it ever outgrows the budget.
-        let mut driver = SpillingSweepDriver::new(env, region.lo.x, region.hi.x);
+        // memory-governed sweep evicts cold sweep state to the simulated
+        // device if it ever outgrows the budget.
         let mut pairs = 0u64;
-        let mut done = false;
-        let mut lnext = left_src.next(env)?.map(|it| predicate.expand_left(it));
-        let mut rnext = right_src.next(env)?;
-        while !done && (lnext.is_some() || rnext.is_some()) {
-            let take_left = match (&lnext, &rnext) {
-                (Some(a), Some(b)) => {
-                    env.charge(CpuOp::Compare, 1);
-                    a.cmp_by_lower_y(b) != std::cmp::Ordering::Greater
-                }
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if take_left {
-                let item = lnext.take().expect("checked above");
-                driver.push(env, Side::Left, item, |a, b| {
-                    if done || !predicate.accepts(&a.rect, &b.rect) {
-                        return;
-                    }
-                    if sink.emit(a.id, b.id).is_break() {
-                        done = true;
-                    } else {
-                        pairs += 1;
-                    }
-                })?;
-                lnext = left_src.next(env)?.map(|it| predicate.expand_left(it));
-            } else {
-                let item = rnext.take().expect("checked above");
-                driver.push(env, Side::Right, item, |a, b| {
-                    if done || !predicate.accepts(&a.rect, &b.rect) {
-                        return;
-                    }
-                    if sink.emit(a.id, b.id).is_break() {
-                        done = true;
-                    } else {
-                        pairs += 1;
-                    }
-                })?;
-                rnext = right_src.next(env)?;
-            }
-        }
-        let mut sweep = if done {
-            driver.discard()
-        } else {
-            driver.finish(env, |a, b| {
-                if done || !predicate.accepts(&a.rect, &b.rect) {
-                    return;
-                }
-                if sink.emit(a.id, b.id).is_break() {
-                    done = true;
-                } else {
+        let sweep = merge_sweep(
+            env,
+            region.lo.x,
+            region.hi.x,
+            |env| Ok(left_src.next(env)?.map(|it| predicate.expand_left(it))),
+            |env| right_src.next(env),
+            |a, b| {
+                if predicate.accepts(&a.rect, &b.rect) {
+                    sink.emit(a.id, b.id)?;
                     pairs += 1;
                 }
-            })?
-        };
-        sweep.pairs = pairs;
-        env.charge(CpuOp::RectTest, sweep.rect_tests);
-        env.charge(CpuOp::OutputPair, pairs);
-
-        let (io, cpu) = env.since(&measurement);
-        Ok(JoinResult {
-            pairs,
-            io,
-            cpu,
-            index_page_requests: left_src.nodes_read() + right_src.nodes_read(),
-            sweep,
-            memory: MemoryStats {
-                priority_queue_bytes: left_src.max_queue_bytes() + right_src.max_queue_bytes(),
-                sweep_structure_bytes: sweep.max_structure_bytes,
-                other_bytes: 0,
-                peak_bytes: env.memory.peak(),
+                ControlFlow::Continue(())
             },
-        })
+        )?;
+        Ok(JoinResult::from_sweep(
+            env,
+            &measurement,
+            pairs,
+            sweep,
+            left_src.nodes_read() + right_src.nodes_read(),
+            left_src.max_queue_bytes() + right_src.max_queue_bytes(),
+        ))
     }
 }
 

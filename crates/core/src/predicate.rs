@@ -47,7 +47,7 @@ impl Predicate {
 
     /// Expands a left-input item by the predicate's ε.
     #[inline]
-    pub(crate) fn expand_left(&self, item: Item) -> Item {
+    pub fn expand_left(&self, item: Item) -> Item {
         let eps = self.epsilon();
         if eps == 0.0 {
             item

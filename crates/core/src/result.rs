@@ -1,6 +1,7 @@
 //! The accounting summary returned by every join.
 
-use usj_io::{CostBreakdown, CostModel, CpuCounter, IoStats, MachineConfig};
+use usj_io::sim::Measurement;
+use usj_io::{CostBreakdown, CostModel, CpuCounter, CpuOp, IoStats, MachineConfig, SimEnv};
 use usj_sweep::SweepJoinStats;
 
 /// Internal-memory usage of a join, the quantity Table 3 reports for PQ.
@@ -73,6 +74,40 @@ pub struct JoinResult {
 }
 
 impl JoinResult {
+    /// The result of a join whose pairs all come from one plane sweep
+    /// (SSSJ, PQ, the streaming join).
+    ///
+    /// Records the `pairs` the sink accepted in `sweep`, charges the sweep's
+    /// rectangle tests and the output pairs to `env`, and reads the I/O and
+    /// CPU since `start` and the gauge's peak. Only PQ reads an index and
+    /// keeps priority queues; the other joins pass zero for both.
+    pub fn from_sweep(
+        env: &mut SimEnv,
+        start: &Measurement,
+        pairs: u64,
+        mut sweep: SweepJoinStats,
+        index_page_requests: u64,
+        priority_queue_bytes: usize,
+    ) -> JoinResult {
+        sweep.pairs = pairs;
+        env.charge(CpuOp::RectTest, sweep.rect_tests);
+        env.charge(CpuOp::OutputPair, pairs);
+        let (io, cpu) = env.since(start);
+        JoinResult {
+            pairs,
+            io,
+            cpu,
+            index_page_requests,
+            sweep,
+            memory: MemoryStats {
+                priority_queue_bytes,
+                sweep_structure_bytes: sweep.max_structure_bytes,
+                other_bytes: 0,
+                peak_bytes: env.memory.peak(),
+            },
+        }
+    }
+
     /// Rolls the summary of another (sub-)execution into this one.
     ///
     /// Pair and operation counters are summed — merging every worker's

@@ -12,13 +12,15 @@
 //! structure-size check that would trigger it is still performed and
 //! reported.
 
+use std::ops::ControlFlow;
+
 use usj_geom::Rect;
-use usj_io::{CpuOp, Result, SimEnv};
-use usj_sweep::{Side, SpillingSweepDriver};
+use usj_io::{Result, SimEnv};
+use usj_sweep::merge_sweep;
 
 use crate::input::JoinInput;
 use crate::predicate::Predicate;
-use crate::result::{JoinResult, MemoryStats};
+use crate::result::JoinResult;
 use crate::sink::PairSink;
 use crate::JoinOperator;
 
@@ -108,93 +110,31 @@ impl JoinOperator for SssjJoin {
 
         // Phase 2: single synchronized scan over the two sorted streams. Left
         // items are ε-expanded as they are read — a uniform shift of their
-        // sort keys, so the merge order below stays correct. The driver is
-        // the memory-governed spilling sweep: when the structures outgrow the
-        // budget it evicts cold items to the simulated device (this is the
-        // degradation path the original SSSJ's worst-case partitioning step
-        // covers; for the paper's workloads it never triggers).
+        // sort keys, so the merge order below stays correct. The sweep is
+        // memory-governed: when the structures outgrow the budget it evicts
+        // cold items to the simulated device (this is the degradation path
+        // the original SSSJ's worst-case partitioning step covers; for the
+        // paper's workloads it never triggers).
         let sweep_phase = env.obs_phase("sssj.sweep");
         let mut lr = left_sorted.reader();
         let mut rr = right_sorted.reader();
-        let mut driver = SpillingSweepDriver::new(env, region.lo.x, region.hi.x);
-        let mut lnext = lr.next(env)?.map(|it| predicate.expand_left(it));
-        let mut rnext = rr.next(env)?;
         let mut pairs = 0u64;
-        let mut done = false;
-        while !done && (lnext.is_some() || rnext.is_some()) {
-            let take_left = match (&lnext, &rnext) {
-                (Some(a), Some(b)) => {
-                    env.charge(CpuOp::Compare, 1);
-                    a.cmp_by_lower_y(b) != std::cmp::Ordering::Greater
-                }
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if take_left {
-                let item = lnext.take().expect("checked above");
-                driver.push(env, Side::Left, item, |a, b| {
-                    if done || !predicate.accepts(&a.rect, &b.rect) {
-                        return;
-                    }
-                    if sink.emit(a.id, b.id).is_break() {
-                        done = true;
-                    } else {
-                        pairs += 1;
-                    }
-                })?;
-                lnext = lr.next(env)?.map(|it| predicate.expand_left(it));
-            } else {
-                let item = rnext.take().expect("checked above");
-                driver.push(env, Side::Right, item, |a, b| {
-                    if done || !predicate.accepts(&a.rect, &b.rect) {
-                        return;
-                    }
-                    if sink.emit(a.id, b.id).is_break() {
-                        done = true;
-                    } else {
-                        pairs += 1;
-                    }
-                })?;
-                rnext = rr.next(env)?;
-            }
-        }
-        env.obs_close(sweep_phase);
-        // Fix up any pending spill epoch — unless the sink stopped the join,
-        // in which case the remaining fix-up I/O is skipped entirely.
-        let fixup_phase = env.obs_phase("sssj.fixup");
-        let mut sweep = if done {
-            driver.discard()
-        } else {
-            driver.finish(env, |a, b| {
-                if done || !predicate.accepts(&a.rect, &b.rect) {
-                    return;
-                }
-                if sink.emit(a.id, b.id).is_break() {
-                    done = true;
-                } else {
+        let sweep = merge_sweep(
+            env,
+            region.lo.x,
+            region.hi.x,
+            |env| Ok(lr.next(env)?.map(|it| predicate.expand_left(it))),
+            |env| rr.next(env),
+            |a, b| {
+                if predicate.accepts(&a.rect, &b.rect) {
+                    sink.emit(a.id, b.id)?;
                     pairs += 1;
                 }
-            })?
-        };
-        env.obs_close(fixup_phase);
-        sweep.pairs = pairs;
-        env.charge(CpuOp::RectTest, sweep.rect_tests);
-        env.charge(CpuOp::OutputPair, pairs);
-
-        let (io, cpu) = env.since(&measurement);
-        Ok(JoinResult {
-            pairs,
-            io,
-            cpu,
-            index_page_requests: 0,
-            sweep,
-            memory: MemoryStats {
-                priority_queue_bytes: 0,
-                sweep_structure_bytes: sweep.max_structure_bytes,
-                other_bytes: 0,
-                peak_bytes: env.memory.peak(),
+                ControlFlow::Continue(())
             },
-        })
+        )?;
+        env.obs_close(sweep_phase);
+        Ok(JoinResult::from_sweep(env, &measurement, pairs, sweep, 0, 0))
     }
 }
 

@@ -33,8 +33,5 @@ pub use generator::{GeneratorConfig, HydroConfig, RoadConfig};
 pub use preset::Preset;
 pub use workload::{DatasetStats, Workload, WorkloadSpec};
 
-// Property-based tests need the external `proptest` crate, which the
-// offline build environment cannot provide; they are opt-in behind the
-// `proptest` feature (see KNOWN_FAILURES.md).
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod proptests;

@@ -29,8 +29,5 @@ pub use item::{sort_by_lower_y, Item, ObjectId, ITEM_BYTES};
 pub use point::Point;
 pub use rect::Rect;
 
-// Property-based tests need the external `proptest` crate, which the
-// offline build environment cannot provide; they are opt-in behind the
-// `proptest` feature (see KNOWN_FAILURES.md).
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod proptests;

@@ -57,7 +57,7 @@ use crate::{LiveError, Result};
 /// snapshot cursor's reader claims one block of records from the memory
 /// gauge per refill, so the block size is the streaming-read granularity.
 /// Batch-oriented runs want big blocks (fewer seeks); a live run is read
-/// incrementally by symmetric joins that must coexist with the sweep
+/// incrementally by streaming joins that must coexist with the sweep
 /// structures inside a worker's admission budget, so it trades a few extra
 /// blocks for a small, steady per-cursor footprint.
 pub const LIVE_PAGES_PER_BLOCK: u64 = 2;

@@ -14,14 +14,14 @@
 //!   [`LiveSnapshot`]s — immutable unions of sorted runs plus a frozen
 //!   memtable copy — so queries keep a consistent view while ingestion
 //!   continues.
-//! * [`StreamingJoin`] — a pull-driven join over two snapshots built on the
-//!   [`SymmetricSweepDriver`](usj_sweep::SymmetricSweepDriver): each
-//!   arriving item is inserted into its side's resident set and probed
-//!   against the opposite side, so pairs surface **as items arrive**
-//!   instead of after a blocking full sort. Memory pressure spills
-//!   residents to the device and recovers their pairs with log-suffix
-//!   fix-up joins; the reported pair *set* is identical to offline SSSJ on
-//!   the same snapshot.
+//! * [`StreamingJoin`] — a pull-driven join over two snapshots built on
+//!   [`merge_sweep`](usj_sweep::merge_sweep): the snapshot cursors deliver
+//!   items incrementally in lower-y order, each arriving item probes the
+//!   opposite side's resident set and joins its own, so pairs surface
+//!   **as items arrive** instead of after a blocking full sort. Memory
+//!   pressure spills residents to the device and recovers their pairs with
+//!   log-suffix fix-up joins; the reported pair *set* is identical to
+//!   offline SSSJ on the same snapshot.
 //!
 //! The service crate wires these into its catalog and admission control
 //! (`register_live` / `append_live` / `QueryKind::StreamingJoin`).
@@ -42,9 +42,7 @@ pub use manifest::{Manifest, RootPointer, RunRecord};
 pub use memtable::Memtable;
 pub use streaming::{JoinSide, StreamingJoin};
 
-// Property-based tests on the vendored `usj_proptest` harness; opt-in
-// behind the `proptest` feature like the rest of the workspace.
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod proptests;
 
 use std::fmt;

@@ -13,7 +13,7 @@
 //! Invariants asserted while a history unfolds:
 //!
 //! * **Differential pair sets** — at every query step, the streaming
-//!   symmetric join over the two snapshots produces exactly the pair set
+//!   join over the two snapshots produces exactly the pair set
 //!   of the offline SSSJ over the materialised snapshots, and exactly the
 //!   brute-force pair set of the shadow models (plain `Vec<Item>` mirrors
 //!   of everything appended).
@@ -101,7 +101,7 @@ fn brute_pairs(a: &[Item], b: &[Item]) -> BTreeSet<(u32, u32)> {
     out
 }
 
-/// Streams the symmetric join over two snapshots and returns its pair set.
+/// Streams the join over two snapshots and returns its pair set.
 fn streaming_pairs(env: &mut SimEnv, l: &LiveSnapshot, r: &LiveSnapshot) -> BTreeSet<(u32, u32)> {
     let mut sink = Collect(Vec::new());
     StreamingJoin::default()

@@ -28,9 +28,9 @@
 //!   exportable as JSON or as a Chrome trace-event file
 //!   ([`ChromeTrace`]) viewable in `chrome://tracing` / Perfetto.
 //!
-//! The crate is dependency-free (the optional `usj_proptest` is the
-//! vendored in-tree property harness) so every layer — including `usj_io`
-//! at the bottom of the stack — can depend on it.
+//! The crate is dependency-free (its tests use the in-tree `usj_proptest`
+//! harness) so every layer — including `usj_io` at the bottom of the stack
+//! — can depend on it.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -49,7 +49,5 @@ pub use metrics::{Counter, Gauge, HistogramSummary, MetricsRegistry, MetricsSnap
 pub use recorder::{Event, NoopRecorder, Recorder, RingCollector, SpanIo};
 pub use trace::{ChromeTrace, QueryTrace, TraceMark, TraceSpan};
 
-// Property-based tests on the vendored `usj_proptest` harness; opt-in
-// behind the `proptest` feature like the rest of the workspace.
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod proptests;

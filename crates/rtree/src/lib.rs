@@ -34,8 +34,5 @@ pub use node::{Node, NodeEntry, NodeKind, MAX_FANOUT};
 pub use store::NodeStore;
 pub use tree::{RTree, RTreeStats};
 
-// Property-based tests need the external `proptest` crate, which the
-// offline build environment cannot provide; they are opt-in behind the
-// `proptest` feature (see KNOWN_FAILURES.md).
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod proptests;

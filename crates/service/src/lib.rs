@@ -40,7 +40,7 @@
 //! The service also fronts the *live* layer ([`usj_live`]):
 //! [`Service::register_live`] / [`Service::append_live`] mutate LSM-style
 //! datasets between sessions, and [`QueryRequest::streaming_join`] runs the
-//! incremental symmetric sweep over generation snapshots taken at execution
+//! incremental streaming sweep over generation snapshots taken at execution
 //! time — first pairs stream out before either input is fully read.
 
 #![forbid(unsafe_code)]
@@ -50,9 +50,7 @@ pub mod catalog;
 pub mod plan_cache;
 pub mod service;
 
-// Property-based tests on the vendored `usj_proptest` harness; opt-in
-// behind the `proptest` feature like the rest of the workspace.
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod proptests;
 
 pub use catalog::{Catalog, Dataset, DatasetId};

@@ -16,29 +16,23 @@
 //!   2–5× faster than the alternatives on real data.
 //!
 //! Both structures keep their resident sets in **struct-of-arrays layout**
-//! with **lazy batched expiration** (see [`soa`](crate::forward) docs): the
+//! with **lazy batched expiration** (see the `soa` module): the
 //! overlap scan streams packed coordinate arrays and the per-push `O(n)`
 //! expiration `retain` of the naive kernel is replaced by an exact expiry
 //! heap plus threshold-triggered tombstone compaction. The pre-optimization
 //! list kernel survives as [`ListSweep`] — the differential-testing oracle
 //! and the wall-clock baseline of the `hotpath` benchmark.
 //!
-//! The [`SweepDriver`] consumes two y-sorted item sequences (in-memory slices
-//! or, in the join crate, streams extracted from R-trees) and produces the
-//! intersecting pairs plus detailed operation counts, which the simulation
-//! environment later converts into CPU time.
+//! The in-memory [`SweepDriver`] consumes two y-sorted item sequences (PBSM's
+//! partitions, ST's node pairs) and produces the intersecting pairs plus
+//! detailed operation counts, which the simulation environment later
+//! converts into CPU time.
 //!
-//! When the active intervals outgrow the internal-memory budget, the
-//! [`SpillingSweepDriver`] takes over: it evicts the soonest-to-expire items
-//! to the simulated device and recovers their missed intersections with a
-//! log-based fix-up join, keeping the memory governor's limit a hard
-//! invariant at the price of extra (charged) I/O.
-//!
-//! For *live* inputs that cannot be globally sorted up front, the
-//! [`SymmetricSweepDriver`] relaxes the protocol to per-side ordering with
-//! arbitrary cross-side interleaving (watermark-based expiry, XJoin-style),
-//! emitting pairs as items arrive while reusing the same spill/fix-up
-//! machinery.
+//! SSSJ, PQ and the streaming join instead run [`merge_sweep`], which pulls
+//! both inputs itself and enforces the memory governor's limit: when the
+//! active intervals outgrow the budget, it evicts the soonest-to-expire
+//! items to the simulated device and recovers their missed intersections
+//! with a log-based fix-up join, at the price of extra (charged) I/O.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -50,7 +44,6 @@ mod soa;
 pub mod spill;
 pub mod striped;
 pub mod structure;
-pub mod symmetric;
 
 pub use driver::{
     sweep_join, sweep_join_count, sweep_join_eps, sweep_join_eps_with, Side, SweepDriver,
@@ -58,13 +51,16 @@ pub use driver::{
 };
 pub use forward::ForwardSweep;
 pub use reference::{EagerStripedSweep, ListSweep};
-pub use spill::SpillingSweepDriver;
-pub use symmetric::SymmetricSweepDriver;
+pub use spill::merge_sweep;
 pub use striped::{StripedSweep, INITIAL_STRIPS, MAX_STRIPS, TARGET_PER_STRIP};
 pub use structure::{SweepStats, SweepStructure};
 
-// Property-based tests need the external `proptest` crate, which the
-// offline build environment cannot provide; they are opt-in behind the
-// `proptest` feature (see KNOWN_FAILURES.md).
-#[cfg(all(test, feature = "proptest"))]
+#[cfg(test)]
 mod proptests;
+
+/// [`merge_sweep`] as a symmetric two-input join: either input may run
+/// ahead, end first, spill or stop the sweep.
+#[cfg(test)]
+mod symmetric {
+    mod tests;
+}

@@ -2,13 +2,13 @@
 //! structures and the spilling driver must agree with a brute-force
 //! rectangle join on arbitrary inputs.
 
+use std::ops::ControlFlow;
+
 use usj_geom::{Item, Rect};
-use usj_io::{MachineConfig, SimEnv};
+use usj_io::{IoSimError, MachineConfig, SimEnv};
 use usj_proptest::{forall, Gen};
 
-use crate::{
-    sweep_join, ForwardSweep, ListSweep, Side, SpillingSweepDriver, StripedSweep, SweepStructure,
-};
+use crate::{merge_sweep, sweep_join, ForwardSweep, ListSweep, StripedSweep, SweepStructure};
 
 fn arb_items(g: &mut Gen, max_len: usize, id_base: u32) -> Vec<Item> {
     let mut next = 0u32;
@@ -144,7 +144,7 @@ fn soa_kernel_stats_invariants_hold_on_arbitrary_sweeps() {
 }
 
 #[test]
-fn spilling_driver_matches_brute_force_under_a_tiny_budget() {
+fn merge_sweep_matches_brute_force_under_a_tiny_budget() {
     forall!(32, |g| {
         let left = arb_items(g, 120, 0);
         let right = arb_items(g, 120, 10_000);
@@ -155,30 +155,20 @@ fn spilling_driver_matches_brute_force_under_a_tiny_budget() {
         let mut r = right.clone();
         l.sort_unstable_by(Item::cmp_by_lower_y);
         r.sort_unstable_by(Item::cmp_by_lower_y);
-        let mut driver = SpillingSweepDriver::new(&env, -100.0, 130.0);
+        let (mut l, mut r) = (l.into_iter(), r.into_iter());
         let mut out = Vec::new();
-        let (mut li, mut ri) = (0, 0);
-        while li < l.len() || ri < r.len() {
-            let take_left = match (l.get(li), r.get(ri)) {
-                (Some(a), Some(b)) => a.cmp_by_lower_y(b) != std::cmp::Ordering::Greater,
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if take_left {
-                driver
-                    .push(&mut env, Side::Left, l[li], |a, b| out.push((a.id, b.id)))
-                    .unwrap();
-                li += 1;
-            } else {
-                driver
-                    .push(&mut env, Side::Right, r[ri], |a, b| out.push((a.id, b.id)))
-                    .unwrap();
-                ri += 1;
-            }
-        }
-        driver
-            .finish(&mut env, |a, b| out.push((a.id, b.id)))
-            .unwrap();
+        merge_sweep::<IoSimError, _, _, _>(
+            &mut env,
+            -100.0,
+            130.0,
+            |_| Ok(l.next()),
+            |_| Ok(r.next()),
+            |a, b| {
+                out.push((a.id, b.id));
+                ControlFlow::Continue(())
+            },
+        )
+        .unwrap();
         out.sort_unstable();
         assert_eq!(out, brute(&left, &right));
         assert!(

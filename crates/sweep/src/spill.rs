@@ -1,10 +1,13 @@
-//! The external *spilling* plane-sweep driver.
+//! The memory-governed plane sweep over two y-sorted inputs.
 //!
-//! [`SweepDriver`](crate::SweepDriver) keeps both interval structures fully
-//! in memory — fine for the paper's real-life workloads, where Table 3 shows
-//! the sweep state staying far below 1 % of the data, but a silent budget
-//! violation on adversarial inputs (many long-lived rectangles alive at the
-//! same sweep position). This driver enforces the memory-governor budget:
+//! [`merge_sweep`] is the one two-input sweep that SSSJ, PQ and the
+//! streaming join run. It merges two pull-based inputs by lower y-coordinate
+//! and feeds each item to a driver that, unlike the in-memory
+//! [`SweepDriver`](crate::SweepDriver), enforces the memory-governor budget.
+//! `SweepDriver` is fine for the paper's real-life workloads, where Table 3
+//! shows the sweep state staying far below 1 % of the data, but it silently
+//! overruns the budget on adversarial inputs (many long-lived rectangles
+//! alive at the same sweep position). Here:
 //!
 //! 1. The in-memory structures register their bytes with the environment's
 //!    [`MemoryGauge`](usj_io::MemoryGauge).
@@ -27,9 +30,20 @@
 //! pairs differs (they surface when their epoch closes). Spill volume and
 //! episode counts are reported through
 //! [`SweepJoinStats::spilled_items`]/[`spill_runs`](SweepJoinStats::spill_runs).
+//!
+//! Once one input is exhausted, the other side's residents can never be
+//! probed again: they are dropped, and that side's later arrivals probe
+//! without being inserted. A streaming join whose inputs end at different
+//! heights keeps its residency down this way.
+
+use std::cell::Cell;
+use std::cmp::Ordering;
+use std::ops::ControlFlow;
 
 use usj_geom::Item;
-use usj_io::{ItemStream, ItemStreamWriter, MemoryReservation, Result, SimEnv};
+use usj_io::{
+    CpuOp, IoSimError, ItemStream, ItemStreamWriter, MemoryReservation, Result, SimEnv,
+};
 
 use crate::driver::{Side, SweepJoinStats};
 use crate::structure::SweepStructure;
@@ -38,44 +52,132 @@ use crate::StripedSweep;
 /// Smallest in-memory budget the driver will operate with, even when the
 /// gauge headroom is lower (a handful of pages; below this the simulation
 /// degenerates into one spill per item).
-pub const MIN_SWEEP_BUDGET: usize = 4096;
+const MIN_SWEEP_BUDGET: usize = 4096;
 
 /// Logical block size (in pages) of the spill batches and the shadow log.
 /// Small on purpose: the writers' block buffers are themselves charged to
 /// the gauge.
-pub(crate) const SPILL_PAGES_PER_BLOCK: u64 = 1;
+const SPILL_PAGES_PER_BLOCK: u64 = 1;
+
+/// Joins two inputs sorted by ascending lower y-coordinate in one
+/// memory-governed plane sweep over the x-extent `[x_lo, x_hi]`, reporting
+/// every intersecting pair as `(left_item, right_item)`.
+///
+/// `left` and `right` pull the next item of their input, `None` once it is
+/// exhausted; neither is called again after returning `None`. The sweep
+/// advances whichever head has the smaller lower y (left on ties, one
+/// [`CpuOp::Compare`] charged per choice between two heads). The in-memory
+/// budget is half the gauge's headroom when the sweep starts, before the
+/// first pull; the rest of the headroom is left for the fix-up working
+/// sets, the shadow-log buffers and the inputs' own buffers.
+///
+/// A [`ControlFlow::Break`] from `report` stops the join after the current
+/// push and its input's next pull: no further pair is reported, and any
+/// pending spill batches are discarded without being read back. Otherwise
+/// the final fix-up reports the pairs of the last spill epoch before the
+/// function returns. Both happen inside a `sweep.fixup` span.
+///
+/// The returned statistics leave [`SweepJoinStats::pairs`] at zero: the
+/// caller counts the pairs it keeps.
+pub fn merge_sweep<E, L, R, F>(
+    env: &mut SimEnv,
+    x_lo: f32,
+    x_hi: f32,
+    mut left: L,
+    mut right: R,
+    mut report: F,
+) -> std::result::Result<SweepJoinStats, E>
+where
+    E: From<IoSimError>,
+    L: FnMut(&mut SimEnv) -> std::result::Result<Option<Item>, E>,
+    R: FnMut(&mut SimEnv) -> std::result::Result<Option<Item>, E>,
+    F: FnMut(&Item, &Item) -> ControlFlow<()>,
+{
+    let mut driver = SpillingSweepDriver::new(env, x_lo, x_hi);
+    let stopped = Cell::new(false);
+    let mut emit = |a: &Item, b: &Item| {
+        if !stopped.get() && report(a, b).is_break() {
+            stopped.set(true);
+        }
+    };
+    let mut lnext = left(env)?;
+    if lnext.is_none() {
+        driver.close(Side::Left);
+    }
+    let mut rnext = right(env)?;
+    if rnext.is_none() {
+        driver.close(Side::Right);
+    }
+    while !stopped.get() {
+        let side = match (&lnext, &rnext) {
+            (Some(a), Some(b)) => {
+                env.charge(CpuOp::Compare, 1);
+                if a.cmp_by_lower_y(b) != Ordering::Greater {
+                    Side::Left
+                } else {
+                    Side::Right
+                }
+            }
+            (Some(_), None) => Side::Left,
+            (None, Some(_)) => Side::Right,
+            (None, None) => break,
+        };
+        let item = match side {
+            Side::Left => lnext.take(),
+            Side::Right => rnext.take(),
+        };
+        driver.push(env, side, item.expect("the chosen side has a head"), &mut emit)?;
+        let head = match side {
+            Side::Left => {
+                lnext = left(env)?;
+                &lnext
+            }
+            Side::Right => {
+                rnext = right(env)?;
+                &rnext
+            }
+        };
+        if head.is_none() {
+            driver.close(side);
+        }
+    }
+    let fixup = env.obs_phase("sweep.fixup");
+    let stats = if stopped.get() {
+        driver.discard()
+    } else {
+        driver.finish(env, &mut emit)?
+    };
+    env.obs_close(fixup);
+    Ok(stats)
+}
 
 /// One eviction: the spilled items of both sides, plus where in the shared
 /// shadow log the post-eviction arrivals begin.
-///
-/// Shared with the symmetric streaming driver
-/// ([`SymmetricSweepDriver`](crate::SymmetricSweepDriver)), whose epoch
-/// lifecycle is watermark-driven but whose batches are identical.
 #[derive(Debug)]
-pub(crate) struct SpillBatch {
-    pub(crate) left: ItemStream,
-    pub(crate) right: ItemStream,
-    pub(crate) log_left_start: u64,
-    pub(crate) log_right_start: u64,
+struct SpillBatch {
+    left: ItemStream,
+    right: ItemStream,
+    log_left_start: u64,
+    log_right_start: u64,
 }
 
 /// The live spill state: open batches and the shared shadow log of every
 /// arrival since the first of them. Ends (and is fixed up) once the sweep
 /// line passes `max_y`.
 #[derive(Debug)]
-pub(crate) struct SpillEpoch {
-    pub(crate) batches: Vec<SpillBatch>,
-    pub(crate) log_left: ItemStreamWriter,
-    pub(crate) log_right: ItemStreamWriter,
-    pub(crate) log_left_n: u64,
-    pub(crate) log_right_n: u64,
+struct SpillEpoch {
+    batches: Vec<SpillBatch>,
+    log_left: ItemStreamWriter,
+    log_right: ItemStreamWriter,
+    log_left_n: u64,
+    log_right_n: u64,
     /// Largest upper y-coordinate among all spilled items of the epoch.
-    pub(crate) max_y: f32,
+    max_y: f32,
 }
 
 impl SpillEpoch {
     /// An empty epoch with fresh shadow logs.
-    pub(crate) fn new(env: &mut SimEnv) -> Self {
+    fn new(env: &mut SimEnv) -> Self {
         SpillEpoch {
             batches: Vec::new(),
             log_left: ItemStreamWriter::new(env, SPILL_PAGES_PER_BLOCK),
@@ -87,7 +189,7 @@ impl SpillEpoch {
     }
 
     /// Shadow-logs one arrival on `side`.
-    pub(crate) fn log(&mut self, env: &mut SimEnv, side: Side, item: Item) -> Result<()> {
+    fn log(&mut self, env: &mut SimEnv, side: Side, item: Item) -> Result<()> {
         match side {
             Side::Left => {
                 self.log_left.push(env, item)?;
@@ -113,7 +215,7 @@ impl SpillEpoch {
 /// always fits. The log reader starts directly at the batch's suffix, so
 /// pre-eviction blocks are never re-read (they were probed in memory;
 /// re-reporting them would duplicate pairs).
-pub(crate) fn join_batch_against_log<F: FnMut(&Item, &Item)>(
+fn join_batch_against_log<F: FnMut(&Item, &Item)>(
     env: &mut SimEnv,
     spilled: &ItemStream,
     log: &ItemStream,
@@ -159,15 +261,10 @@ pub(crate) fn join_batch_against_log<F: FnMut(&Item, &Item)>(
     Ok(rect_tests)
 }
 
-/// A memory-governed streaming plane-sweep join over two y-sorted inputs.
-///
-/// The drop-in external sibling of
-/// [`SweepDriver<StripedSweep>`](crate::SweepDriver): same push-based
-/// protocol, but `push` takes the environment (evictions and fix-ups perform
-/// simulated I/O) and the in-memory state never exceeds the budget derived
-/// from the gauge's headroom at construction.
+/// The push side of [`merge_sweep`]: both resident sets, the budget and
+/// the spill state.
 #[derive(Debug)]
-pub struct SpillingSweepDriver {
+struct SpillingSweepDriver {
     left: StripedSweep,
     right: StripedSweep,
     stats: SweepJoinStats,
@@ -176,6 +273,9 @@ pub struct SpillingSweepDriver {
     reservation: MemoryReservation,
     epoch: Option<SpillEpoch>,
     fixup_rect_tests: u64,
+    /// One input is exhausted: every later arrival comes from the other
+    /// input, and nothing can probe it once it is resident.
+    probe_only: bool,
     /// Reusable eviction buffers: [`StripedSweep::evict_until`] appends into
     /// them, so repeated spill episodes stop allocating fresh vectors.
     evict_left: Vec<Item>,
@@ -185,12 +285,10 @@ pub struct SpillingSweepDriver {
 }
 
 impl SpillingSweepDriver {
-    /// Creates a driver whose structures cover the x-extent `[x_lo, x_hi]`.
-    ///
-    /// The in-memory budget is half the gauge's current headroom (floored at
-    /// [`MIN_SWEEP_BUDGET`]): the other half stays free for the fix-up
-    /// working sets, the shadow-log buffers and the callers' stream buffers.
-    pub fn new(env: &SimEnv, x_lo: f32, x_hi: f32) -> Self {
+    /// Creates a driver whose structures cover the x-extent `[x_lo, x_hi]`,
+    /// with half the gauge's current headroom (floored at
+    /// [`MIN_SWEEP_BUDGET`]) as its in-memory budget.
+    fn new(env: &SimEnv, x_lo: f32, x_hi: f32) -> Self {
         let budget = (env.memory.headroom() / 2).max(MIN_SWEEP_BUDGET);
         SpillingSweepDriver {
             left: StripedSweep::with_extent(x_lo, x_hi),
@@ -201,20 +299,22 @@ impl SpillingSweepDriver {
             reservation: env.memory.reserve_empty(),
             epoch: None,
             fixup_rect_tests: 0,
+            probe_only: false,
             evict_left: Vec::new(),
             evict_right: Vec::new(),
             expiry_scratch: Vec::new(),
         }
     }
 
-    /// In-memory budget in bytes.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// Spill batches of the current epoch still awaiting their fix-up join.
-    pub fn open_batches(&self) -> usize {
-        self.epoch.as_ref().map_or(0, |e| e.batches.len())
+    /// Declares input `side` exhausted: the other side's residents are
+    /// dropped, and its later arrivals are probed but not inserted.
+    fn close(&mut self, side: Side) {
+        self.probe_only = true;
+        let dropped = match side {
+            Side::Left => self.right.expire_before(f32::INFINITY),
+            Side::Right => self.left.expire_before(f32::INFINITY),
+        };
+        mark_expired(dropped);
     }
 
     /// Advances the sweep line to `item.rect.lo.y` and processes `item` from
@@ -224,7 +324,7 @@ impl SpillingSweepDriver {
     ///
     /// Fix-up pairs of a spill epoch the sweep line has passed are reported
     /// through the same callback before the new item is processed.
-    pub fn push<F: FnMut(&Item, &Item)>(
+    fn push<F: FnMut(&Item, &Item)>(
         &mut self,
         env: &mut SimEnv,
         side: Side,
@@ -244,8 +344,7 @@ impl SpillingSweepDriver {
             self.fixup_epoch(env, epoch, &mut report)?;
         }
 
-        self.left.expire_before(y);
-        self.right.expire_before(y);
+        mark_expired(self.left.expire_before(y) + self.right.expire_before(y));
 
         // Shadow-log the arrival: its pairs with already-spilled items can
         // only be discovered at fix-up time.
@@ -256,12 +355,16 @@ impl SpillingSweepDriver {
         match side {
             Side::Left => {
                 self.right.query(&item, |other| report(&item, other));
-                self.left.insert(item);
+                if !self.probe_only {
+                    self.left.insert(item);
+                }
                 self.stats.left_items += 1;
             }
             Side::Right => {
                 self.left.query(&item, |other| report(other, &item));
-                self.right.insert(item);
+                if !self.probe_only {
+                    self.right.insert(item);
+                }
                 self.stats.right_items += 1;
             }
         }
@@ -353,40 +456,33 @@ impl SpillingSweepDriver {
         epoch: SpillEpoch,
         report: &mut F,
     ) -> Result<()> {
+        usj_obs::instant("sweep.fixup_epoch", epoch.batches.len() as u64);
         let log_left = epoch.log_left.finish(env)?;
         let log_right = epoch.log_right.finish(env)?;
         for batch in epoch.batches {
-            self.join_spilled(env, &batch.left, &log_right, batch.log_right_start, Side::Left, report)?;
-            self.join_spilled(env, &batch.right, &log_left, batch.log_left_start, Side::Right, report)?;
+            self.fixup_rect_tests += join_batch_against_log(
+                env,
+                &batch.left,
+                &log_right,
+                batch.log_right_start,
+                Side::Left,
+                report,
+            )?;
+            self.fixup_rect_tests += join_batch_against_log(
+                env,
+                &batch.right,
+                &log_left,
+                batch.log_left_start,
+                Side::Right,
+                report,
+            )?;
         }
         Ok(())
     }
 
-    /// Joins one spilled batch side against the shadow-log entries that
-    /// arrived after its eviction (see [`join_batch_against_log`]).
-    fn join_spilled<F: FnMut(&Item, &Item)>(
-        &mut self,
-        env: &mut SimEnv,
-        spilled: &ItemStream,
-        log: &ItemStream,
-        log_start: u64,
-        spilled_side: Side,
-        report: &mut F,
-    ) -> Result<()> {
-        self.fixup_rect_tests +=
-            join_batch_against_log(env, spilled, log, log_start, spilled_side, report)?;
-        Ok(())
-    }
-
-    /// Registers `n` reported pairs in the statistics (the driver does not
-    /// count them itself, mirroring [`SweepDriver`](crate::SweepDriver)).
-    pub fn add_pairs(&mut self, n: u64) {
-        self.stats.pairs += n;
-    }
-
     /// Fixes up any remaining spill epoch (reporting its pairs) and returns
     /// the final statistics.
-    pub fn finish<F: FnMut(&Item, &Item)>(
+    fn finish<F: FnMut(&Item, &Item)>(
         mut self,
         env: &mut SimEnv,
         mut report: F,
@@ -400,7 +496,7 @@ impl SpillingSweepDriver {
     /// Abandons any pending spill state *without* reading it back — the
     /// early-termination path (a stopped sink does not want more pairs, so
     /// the fix-up I/O is saved).
-    pub fn discard(self) -> SweepJoinStats {
+    fn discard(self) -> SweepJoinStats {
         self.stats_snapshot()
     }
 
@@ -412,33 +508,51 @@ impl SpillingSweepDriver {
     }
 }
 
+/// Marks `n` expired residents in the trace.
+fn mark_expired(n: usize) {
+    if n > 0 {
+        usj_obs::instant("sweep.expire", n as u64);
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use usj_geom::Rect;
     use usj_io::MachineConfig;
 
-    fn item(x0: f32, y0: f32, x1: f32, y1: f32, id: u32) -> Item {
+    pub(crate) fn item(x0: f32, y0: f32, x1: f32, y1: f32, id: u32) -> Item {
         Item::new(Rect::from_coords(x0, y0, x1, y1), id)
     }
 
-    fn env_with_memory(bytes: usize) -> SimEnv {
+    pub(crate) fn env_with_memory(bytes: usize) -> SimEnv {
         SimEnv::new(MachineConfig::machine3()).with_memory_limit(bytes)
     }
 
     /// Dense long-lived rectangles: many are alive at once, so a small
-    /// budget must spill.
-    fn long_lived(n: u32, id_base: u32) -> Vec<Item> {
+    /// budget must spill. `dy` lifts the whole input.
+    pub(crate) fn long_lived(n: u32, id_base: u32, dy: f32) -> Vec<Item> {
         (0..n)
             .map(|i| {
                 let x = (i % 37) as f32;
-                let y = i as f32 * 0.01;
+                let y = dy + i as f32 * 0.01;
                 item(x, y, x + 3.0, y + 50.0, id_base + i)
             })
             .collect()
     }
 
-    fn brute(left: &[Item], right: &[Item]) -> Vec<(u32, u32)> {
+    /// Short-lived rectangles whose y-ranges barely overlap their
+    /// neighbours': two such inputs advance in lockstep.
+    fn short_lived(n: u32, id_base: u32) -> Vec<Item> {
+        (0..n)
+            .map(|i| {
+                let (x, y) = ((i % 29) as f32, i as f32 * 0.1);
+                item(x, y, x + 1.5, y + 0.3, id_base + i)
+            })
+            .collect()
+    }
+
+    pub(crate) fn brute(left: &[Item], right: &[Item]) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
         for a in left {
             for b in right {
@@ -451,48 +565,53 @@ mod tests {
         out
     }
 
-    fn run_spilling(
+    /// A pull closure over a sorted copy of `items`.
+    pub(crate) fn puller(items: &[Item]) -> impl FnMut(&mut SimEnv) -> Result<Option<Item>> {
+        let mut sorted = items.to_vec();
+        sorted.sort_unstable_by(Item::cmp_by_lower_y);
+        let mut it = sorted.into_iter();
+        move |_| Ok(it.next())
+    }
+
+    /// Sweeps `left` against `right` until `stop` accepts a reported pair,
+    /// and returns the reported pairs sorted, asserting that none was
+    /// reported twice.
+    pub(crate) fn run_until(
+        env: &mut SimEnv,
+        left: &[Item],
+        right: &[Item],
+        stop: impl Fn(&Item, &Item) -> bool,
+    ) -> (Vec<(u32, u32)>, SweepJoinStats) {
+        let mut out = Vec::new();
+        let stats = merge_sweep(env, 0.0, 64.0, puller(left), puller(right), |a, b| {
+            out.push((a.id, b.id));
+            if stop(a, b) {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+        .unwrap();
+        let n = out.len();
+        out.sort_unstable();
+        out.dedup();
+        assert_eq!(out.len(), n, "a pair was reported twice");
+        (out, stats)
+    }
+
+    pub(crate) fn run_spilling(
         env: &mut SimEnv,
         left: &[Item],
         right: &[Item],
     ) -> (Vec<(u32, u32)>, SweepJoinStats) {
-        let mut l = left.to_vec();
-        let mut r = right.to_vec();
-        l.sort_unstable_by(Item::cmp_by_lower_y);
-        r.sort_unstable_by(Item::cmp_by_lower_y);
-        let mut driver = SpillingSweepDriver::new(env, 0.0, 64.0);
-        let mut out = Vec::new();
-        let (mut li, mut ri) = (0, 0);
-        while li < l.len() || ri < r.len() {
-            let take_left = match (l.get(li), r.get(ri)) {
-                (Some(a), Some(b)) => a.cmp_by_lower_y(b) != std::cmp::Ordering::Greater,
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if take_left {
-                driver
-                    .push(env, Side::Left, l[li], |a, b| out.push((a.id, b.id)))
-                    .unwrap();
-                li += 1;
-            } else {
-                driver
-                    .push(env, Side::Right, r[ri], |a, b| out.push((a.id, b.id)))
-                    .unwrap();
-                ri += 1;
-            }
-        }
-        driver.add_pairs(out.len() as u64);
-        let stats = driver.finish(env, |a, b| out.push((a.id, b.id))).unwrap();
-        out.sort_unstable();
-        out.dedup();
-        (out, stats)
+        run_until(env, left, right, |_, _| false)
     }
 
     #[test]
     fn no_spill_when_the_budget_is_ample() {
         let mut env = env_with_memory(16 * 1024 * 1024);
-        let left = long_lived(200, 0);
-        let right = long_lived(200, 10_000);
+        let left = long_lived(200, 0, 0.0);
+        let right = long_lived(200, 10_000, 0.0);
         let (pairs, stats) = run_spilling(&mut env, &left, &right);
         assert_eq!(pairs, brute(&left, &right));
         assert_eq!(stats.spill_runs, 0);
@@ -502,8 +621,8 @@ mod tests {
     #[test]
     fn spilling_reports_the_exact_pair_set_and_charges_io() {
         let mut env = env_with_memory(64 * 1024);
-        let left = long_lived(700, 0);
-        let right = long_lived(700, 10_000);
+        let left = long_lived(700, 0, 0.0);
+        let right = long_lived(700, 10_000, 0.0);
         let m = env.begin();
         let (pairs, stats) = run_spilling(&mut env, &left, &right);
         let (io, _) = env.since(&m);
@@ -521,41 +640,40 @@ mod tests {
 
     #[test]
     fn spill_pairs_are_reported_exactly_once() {
-        // No dedup pass: the raw report sequence must already be
-        // duplicate-free across the in-memory and fix-up paths.
-        let mut env = env_with_memory(64 * 1024);
-        let left = long_lived(500, 0);
-        let right = long_lived(500, 10_000);
-        let mut l = left.clone();
-        let mut r = right.clone();
-        l.sort_unstable_by(Item::cmp_by_lower_y);
-        r.sort_unstable_by(Item::cmp_by_lower_y);
-        let mut driver = SpillingSweepDriver::new(&env, 0.0, 64.0);
-        let mut out = Vec::new();
-        for (a, b) in l.iter().zip(r.iter()) {
-            driver
-                .push(&mut env, Side::Left, *a, |x, y| out.push((x.id, y.id)))
-                .unwrap();
-            driver
-                .push(&mut env, Side::Right, *b, |x, y| out.push((x.id, y.id)))
-                .unwrap();
+        // `run_spilling` asserts that the raw report sequence is already
+        // duplicate-free across the in-memory and fix-up paths, for inputs
+        // that interleave, run one after the other, or advance in lockstep.
+        let inputs = [
+            (long_lived(500, 0, 0.0), long_lived(500, 10_000, 0.0), true),
+            (long_lived(900, 0, 0.0), long_lived(900, 10_000, 20.0), true),
+            (short_lived(2_000, 0), short_lived(2_000, 100_000), false),
+        ];
+        for (left, right, spills) in &inputs {
+            let mut env = env_with_memory(64 * 1024);
+            let (pairs, stats) = run_spilling(&mut env, left, right);
+            assert_eq!(pairs, brute(left, right));
+            assert_eq!(stats.spill_runs > 0, *spills, "{stats:?}");
         }
-        let stats = driver
-            .finish(&mut env, |x, y| out.push((x.id, y.id)))
-            .unwrap();
-        assert!(stats.spill_runs > 0);
-        let n = out.len();
-        out.sort_unstable();
-        out.dedup();
-        assert_eq!(out.len(), n, "fix-up re-reported already-seen pairs");
-        assert_eq!(out, brute(&left, &right));
+    }
+
+    #[test]
+    fn lockstep_short_lived_inputs_keep_the_resident_set_small() {
+        let mut env = env_with_memory(16 * 1024 * 1024);
+        let left = short_lived(2_000, 0);
+        let right = short_lived(2_000, 100_000);
+        let (pairs, stats) = run_spilling(&mut env, &left, &right);
+        assert_eq!(pairs, brute(&left, &right));
+        assert!(
+            stats.max_resident < 200,
+            "lockstep inputs must expire promptly: {stats:?}"
+        );
     }
 
     #[test]
     fn memory_gauge_never_exceeds_the_limit_while_spilling() {
         let mut env = env_with_memory(64 * 1024);
-        let left = long_lived(800, 0);
-        let right = long_lived(800, 10_000);
+        let left = long_lived(800, 0, 0.0);
+        let right = long_lived(800, 10_000, 0.0);
         env.memory.begin_phase();
         let (pairs, stats) = run_spilling(&mut env, &left, &right);
         assert_eq!(pairs.len(), brute(&left, &right).len());
@@ -570,23 +688,19 @@ mod tests {
 
     #[test]
     fn discard_skips_the_fixup_io() {
+        // The items live until long after the last arrival, so the spill
+        // epoch stays open to the end and every fix-up read would come from
+        // the final fix-up. The sink stops at the first pair of one of the
+        // last ten left items, which the in-memory probe reports.
         let mut env = env_with_memory(64 * 1024);
-        let left = long_lived(500, 0);
-        let right = long_lived(500, 10_000);
-        let mut l = left.clone();
-        l.sort_unstable_by(Item::cmp_by_lower_y);
-        let mut r = right.clone();
-        r.sort_unstable_by(Item::cmp_by_lower_y);
-        let mut driver = SpillingSweepDriver::new(&env, 0.0, 64.0);
-        for (a, b) in l.iter().zip(r.iter()) {
-            driver.push(&mut env, Side::Left, *a, |_, _| {}).unwrap();
-            driver.push(&mut env, Side::Right, *b, |_, _| {}).unwrap();
-        }
-        assert!(driver.open_batches() > 0, "batches should still be open");
+        let left = long_lived(500, 0, 0.0);
+        let right = long_lived(500, 10_000, 0.0);
         let m = env.begin();
-        let stats = driver.discard();
+        let (pairs, stats) = run_until(&mut env, &left, &right, |a, _| a.id >= 490);
         let (io, _) = env.since(&m);
+        assert!(pairs.len() < brute(&left, &right).len());
         assert!(stats.spill_runs > 0);
-        assert_eq!(io.pages_read, 0, "discard must not read the batches back");
+        assert!(io.pages_written > 0, "the spill batches were written");
+        assert_eq!(io.pages_read, 0, "a stopped sweep must not read the batches back");
     }
 }

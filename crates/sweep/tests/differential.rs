@@ -1,18 +1,22 @@
 //! Differential suite: the optimized struct-of-arrays kernels vs the naive
 //! [`ListSweep`] reference on deterministic pseudo-random workloads.
 //!
-//! Always-on sibling of the feature-gated proptest module — tier-1 `cargo
-//! test` exercises these invariants on every run:
+//! Fixed-seed sibling of the sweep crate's proptest module:
 //!
 //! * identical pair *sequences* (not just sets) between `ListSweep` and the
 //!   SoA `ForwardSweep`, identical pair sets for `StripedSweep`;
 //! * `SweepStats` bookkeeping: `inserts = expirations + final residents`,
-//!   `max_resident`/`max_bytes` monotone with respect to the resident count.
+//!   `max_resident`/`max_bytes` monotone with respect to the resident count;
+//! * `merge_sweep` under an ample budget is the in-memory
+//!   `SweepDriver<StripedSweep>`: the same pair sequence and rectangle tests.
+
+use std::ops::ControlFlow;
 
 use usj_geom::{Item, Rect};
+use usj_io::{IoSimError, MachineConfig, SimEnv};
 use usj_sweep::{
-    sweep_join, EagerStripedSweep, ForwardSweep, ListSweep, Side, StripedSweep, SweepDriver,
-    SweepStructure,
+    merge_sweep, sweep_join, EagerStripedSweep, ForwardSweep, ListSweep, Side, StripedSweep,
+    SweepDriver, SweepStructure,
 };
 
 /// SplitMix64 — the same deterministic generator the datagen crate uses.
@@ -180,5 +184,49 @@ fn drivers_agree_across_kernels_under_interleaved_sides() {
             striped.push(side, item, |x, y| out.push((x.id, y.id)));
         }));
         assert_eq!(a, b, "seed {seed}");
+        merge_sweep_matches_the_in_memory_striped_driver(seed, &left, &right);
     }
+}
+
+/// With a budget that never spills, `merge_sweep` must report exactly the
+/// pair sequence and rectangle tests of `sweep_join::<StripedSweep>`, and
+/// hold no more residents (it drops a side nothing can probe any more).
+fn merge_sweep_matches_the_in_memory_striped_driver(seed: u64, left: &[Item], right: &[Item]) {
+    let mut expected = Vec::new();
+    let reference = sweep_join::<StripedSweep, _>(left, right, |a, b| expected.push((a.id, b.id)));
+
+    // `sweep_join` sizes its strips by the inputs' x-extent; so does this.
+    let (x_lo, x_hi) = left
+        .iter()
+        .chain(right)
+        .fold((f32::INFINITY, f32::NEG_INFINITY), |(lo, hi), it| {
+            (lo.min(it.rect.lo.x), hi.max(it.rect.hi.x))
+        });
+    let sorted = |items: &[Item]| {
+        let mut v = items.to_vec();
+        v.sort_unstable_by(Item::cmp_by_lower_y);
+        v.into_iter()
+    };
+    let (mut l, mut r) = (sorted(left), sorted(right));
+    let mut env = SimEnv::new(MachineConfig::machine3()).with_memory_limit(64 << 20);
+    let mut got = Vec::new();
+    let stats = merge_sweep::<IoSimError, _, _, _>(
+        &mut env,
+        x_lo,
+        x_hi,
+        |_| Ok(l.next()),
+        |_| Ok(r.next()),
+        |a, b| {
+            got.push((a.id, b.id));
+            ControlFlow::Continue(())
+        },
+    )
+    .unwrap();
+    assert_eq!(stats.spill_runs, 0, "seed {seed}: the budget must not spill");
+    assert_eq!(got, expected, "seed {seed}: pair sequence");
+    assert_eq!(stats.rect_tests, reference.rect_tests, "seed {seed}");
+    assert!(
+        stats.max_resident <= reference.max_resident,
+        "seed {seed}: {stats:?} vs {reference:?}"
+    );
 }
